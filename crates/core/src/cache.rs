@@ -27,6 +27,7 @@
 //! paths that must stay allocation-free).
 
 use crate::compile::CompiledQuery;
+use crate::error::EvalError;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -285,6 +286,27 @@ impl ShardedPlanCache {
     /// when the shard is full.
     pub fn insert(&self, source: String, plan: Arc<CompiledQuery>) {
         self.shard_for(&source).lock().unwrap().insert(source, plan);
+    }
+
+    /// Looks up a plan, compiling and storing it on a miss.  The shard stays
+    /// locked while `compile` runs, so concurrent requests for one new
+    /// source compile it once: the first misses, the rest hit.  A failed
+    /// compile stores nothing.
+    pub fn get_or_compile(
+        &self,
+        source: &str,
+        compile: impl FnOnce() -> Result<Arc<CompiledQuery>, EvalError>,
+    ) -> Result<Arc<CompiledQuery>, EvalError> {
+        let mut shard = self
+            .shard_for(source)
+            .lock()
+            .expect("a plan cache shard is poisoned only by a panicking compile");
+        if let Some(hit) = shard.get(source) {
+            return Ok(hit);
+        }
+        let plan = compile()?;
+        shard.insert(source.to_string(), Arc::clone(&plan));
+        Ok(plan)
     }
 
     /// Aggregated counters plus the per-shard breakdown.

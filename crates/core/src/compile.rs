@@ -105,7 +105,12 @@ pub fn recommended_strategy(report: &FragmentReport, threads: usize) -> EvalStra
 /// per-thread spawn/merge overhead exceeds the Theorem 5.5 loop itself.
 /// First refinement of the ROADMAP cost model — query features pick the
 /// algorithm family, document size picks the parallelism degree.
-pub const PARALLEL_MIN_NODES: usize = 512;
+///
+/// Measured with the goal-directed membership check, which decides a
+/// candidate in about a microsecond: on 2 cores, `Parallel { threads: 2 }`
+/// first beats sequential Singleton-Success over the pXPath filter
+/// templates between 4k and 10k auction-document nodes.
+pub const PARALLEL_MIN_NODES: usize = 8192;
 
 /// Queries whose name-bounded candidate universe (tag-index selectivity,
 /// [`crate::steps::result_size_bound`]) is below this many nodes are
@@ -113,7 +118,11 @@ pub const PARALLEL_MIN_NODES: usize = 512;
 /// workers would each decide only a handful of plausible candidates, so
 /// spawn/merge overhead dominates.  Second refinement of the cost model —
 /// per-axis selectivity counts join document size in the plan choice.
-pub const PARALLEL_MIN_CANDIDATES: usize = 128;
+///
+/// Measured like [`PARALLEL_MIN_NODES`]: on a fixed ~9k-node document,
+/// two workers first beat one between 512 and 1024 name-bounded
+/// candidates.
+pub const PARALLEL_MIN_CANDIDATES: usize = 1024;
 
 /// The size-degrade rule itself: a parallel plan on a document below
 /// [`PARALLEL_MIN_NODES`] nodes becomes sequential Singleton-Success;

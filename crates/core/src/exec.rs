@@ -34,10 +34,12 @@ use crate::registry::FunctionRegistry;
 use crate::stats::EvalStats;
 use crate::steps::predicate_holds;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::time::Instant;
-use xpeval_dom::{AxisSource, Document, NodeId, NodeTest};
+use xpeval_dom::{Axis, AxisSource, Document, NodeId, NodeTest};
 use xpeval_obs::OpTrace;
 use xpeval_syntax::ast::ExprType;
 use xpeval_syntax::Expr;
@@ -396,42 +398,48 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
         step: &StepIr,
         preds: &[OpId],
     ) -> Result<Vec<NodeId>, EvalError> {
-        let mut candidates: Vec<NodeId>;
-        let mut remaining = preds;
-        if let Some(pick) = step.pick {
-            match self.src.positional_child_step(from, &step.test, pick) {
-                Some(picked) => {
-                    candidates = picked;
-                    remaining = &preds[1..];
-                }
-                None => candidates = self.src.axis_step(from, step.axis, &step.test),
-            }
-        } else {
-            candidates = self.src.axis_step(from, step.axis, &step.test);
-        }
-        for &pred in remaining {
-            candidates = self.filter(&candidates, step.axis.is_reverse(), pred)?;
-        }
-        Ok(candidates)
+        let src = self.src;
+        step_image(src, from, step, preds, |pred, ctx| {
+            let value = self.eval(pred, ctx)?;
+            Ok(predicate_holds(&value, ctx.position))
+        })
     }
+}
 
-    fn filter(
-        &mut self,
-        candidates: &[NodeId],
-        reverse_axis: bool,
-        pred: OpId,
-    ) -> Result<Vec<NodeId>, EvalError> {
+/// One location step from one context node: the axis step (or the
+/// positional pick, when the source answers it from an index), then each
+/// predicate in turn over the list the previous one kept, with proximity
+/// positions counted along the axis.
+fn step_image<S: AxisSource + ?Sized>(
+    src: &S,
+    from: NodeId,
+    step: &StepIr,
+    preds: &[OpId],
+    mut holds: impl FnMut(OpId, Context) -> Result<bool, EvalError>,
+) -> Result<Vec<NodeId>, EvalError> {
+    let picked = step
+        .pick
+        .and_then(|pick| src.positional_child_step(from, &step.test, pick));
+    let (mut candidates, remaining) = match picked {
+        Some(picked) => (picked, &preds[1..]),
+        None => (src.axis_step(from, step.axis, &step.test), preds),
+    };
+    for &pred in remaining {
         let size = candidates.len();
         let mut kept = Vec::with_capacity(size);
         for (idx, &node) in candidates.iter().enumerate() {
-            let position = if reverse_axis { size - idx } else { idx + 1 };
-            let value = self.eval(pred, Context::new(node, position, size))?;
-            if predicate_holds(&value, position) {
+            let position = if step.axis.is_reverse() {
+                size - idx
+            } else {
+                idx + 1
+            };
+            if holds(pred, Context::new(node, position, size))? {
                 kept.push(node);
             }
         }
-        Ok(kept)
+        candidates = kept;
     }
+    Ok(candidates)
 }
 
 /// Set-at-a-time executor over the IR — the [`crate::CoreXPathEvaluator`]
@@ -631,19 +639,61 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrLinear<'d, 'q, S> {
 
 /// Deterministic simulation of the Lemma 5.4 NAuxPDA over the IR — the
 /// [`crate::SingletonSuccess`] checker with the Definition 6.1 validation
-/// replaced by the precomputed [`PlanIr::ss_check`] verdict.  The reach memo
-/// keys on the *arena index* of a step (globally unique per lowered path),
-/// which replaces the AST version's pointer-identity keys.
+/// replaced by the precomputed [`PlanIr::ss_check`] verdict.
+///
+/// Membership is goal-directed.  "Does the path select `t` from `start`?"
+/// is answered backwards from `t`, one step at a time, in a memo keyed on
+/// `(step, start, node)`.  The key does not mention the target, so each
+/// candidate reuses the decisions made for the ones before it:
+///
+/// * steps on the `self`, `child`, `attribute`, `descendant`,
+///   `descendant-or-self` and `parent` axes go backwards through the
+///   inverse axis: the predecessors of `t` are its parent, its ancestors,
+///   or its children and attributes;
+/// * steps on the `ancestor`, `ancestor-or-self`, `following`, `preceding`
+///   and sibling axes, whose inverse is wide, fall back to the forward
+///   walk: the nodes the path prefix reaches are computed once per
+///   `(step, start)`, and `t` is then checked against them with O(1)
+///   pre/post interval tests, scanned only over the key range where a
+///   witness can lie;
+/// * a step whose predicates read the context position or size (a
+///   positional pick, a number- or variable-valued predicate, `position()`
+///   or `last()`) checks `t` against the forward image of each reached
+///   predecessor, memoized per `(step, node)`.
+///
+/// Predicate operands — a path inside `[...]`, the node-set sides of a
+/// comparison, a node-set function argument — are evaluated forwards: each
+/// step's image once per `(step, context node)`, each operand's node set
+/// once per `(opcode, start node)`.
 pub(crate) struct IrSingletonSuccess<'d, 'q, S: AxisSource + ?Sized = Document> {
     src: &'d S,
     doc: &'d Document,
     ir: &'q PlanIr,
     env: EvalEnv<'q>,
+    /// `(step, start, node)` → the path prefix ending at `step` reaches
+    /// `node` from `start`.
     reach_memo: RefCell<HashMap<(u32, NodeId, NodeId), bool>>,
+    /// `(step, node)` → the step's forward image from `node`, predicates
+    /// applied, in document order.
+    image_memo: NodeSetMemo<(u32, NodeId)>,
+    /// `(step, start)` → every node the path prefix ending at `step`
+    /// reaches from `start`, in document order (the wide-axis fallback).
+    frontier_memo: NodeSetMemo<(u32, NodeId)>,
+    /// `(opcode, start)` → the node set of a predicate operand, in
+    /// document order.
+    operand_memo: NodeSetMemo<(OpId, NodeId)>,
     bool_memo: RefCell<HashMap<(OpId, NodeId, usize, usize), bool>>,
     decisions: Cell<u64>,
     memo_hits: Cell<u64>,
     steps_applied: Cell<u64>,
+}
+
+/// A memo of node sets in document order, handed out by reference count so
+/// a lookup never holds the table's borrow across the recursion.
+type NodeSetMemo<K> = RefCell<HashMap<K, Rc<[NodeId]>>>;
+
+fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
 }
 
 impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
@@ -655,6 +705,9 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
             ir,
             env,
             reach_memo: RefCell::new(HashMap::new()),
+            image_memo: RefCell::new(HashMap::new()),
+            frontier_memo: RefCell::new(HashMap::new()),
+            operand_memo: RefCell::new(HashMap::new()),
             bool_memo: RefCell::new(HashMap::new()),
             decisions: Cell::new(0),
             memo_hits: Cell::new(0),
@@ -716,7 +769,7 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
         match &self.ir.op(id).kind {
             OpKind::Path { absolute, steps } => {
                 let start = if *absolute { self.doc.root() } else { ctx.node };
-                self.can_reach(*steps, 0, start, target)
+                self.reached(*steps, steps.1, start, target)
             }
             OpKind::Union(a, b) => {
                 Ok(self.selects(*a, ctx, target)? || self.selects(*b, ctx, target)?)
@@ -730,59 +783,245 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
             OpKind::Except(a, b) => {
                 Ok(self.selects(*a, ctx, target)? && !self.selects(*b, ctx, target)?)
             }
-            _ => Err(EvalError::type_error(format!(
-                "expression {} is not node-set typed",
-                self.ir.display_op(id)
-            ))),
+            _ => Err(not_a_node_set(self.ir, id)),
         }
     }
 
-    fn can_reach(
+    /// Does the prefix of the path `range` made of its first `k` steps
+    /// reach `t` from `start`?
+    fn reached(
         &self,
         range: (u32, u32),
         k: u32,
-        from: NodeId,
-        target: NodeId,
+        start: NodeId,
+        t: NodeId,
     ) -> Result<bool, EvalError> {
-        if k == range.1 {
-            return Ok(from == target);
+        if k == 0 {
+            return Ok(t == start);
         }
-        let abs_ix = range.0 + k;
-        let key = (abs_ix, from, target);
+        let key = (range.0 + k - 1, start, t);
+        let step = &self.ir.steps()[key.0 as usize];
+        if !self.doc.matches_on_axis(t, &step.test, step.axis) {
+            return Ok(false);
+        }
         if let Some(&b) = self.reach_memo.borrow().get(&key) {
-            self.memo_hits.set(self.memo_hits.get() + 1);
+            bump(&self.memo_hits);
             return Ok(b);
         }
-        self.decisions.set(self.decisions.get() + 1);
-        self.steps_applied.set(self.steps_applied.get() + 1);
-        let step = &self.ir.steps()[abs_ix as usize];
-        let preds = self.ir.step_preds(step);
-        let candidates = self.src.axis_step(from, step.axis, &step.test);
-        let size = candidates.len();
-        let mut result = false;
-        for (idx, &cand) in candidates.iter().enumerate() {
-            let position = if step.axis.is_reverse() {
-                size - idx
-            } else {
-                idx + 1
-            };
-            let mut ok = true;
-            for &pred in preds {
-                if !self.predicate_holds_at(pred, Context::new(cand, position, size))? {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok && self.can_reach(range, k + 1, cand, target)? {
-                result = true;
-                break;
+        bump(&self.decisions);
+        bump(&self.steps_applied);
+        let out = self.step_selects(range, k, step, start, t)?;
+        self.reach_memo.borrow_mut().insert(key, out);
+        Ok(out)
+    }
+
+    /// Decides the `k`-th step of `range` for a node `t` that passes its
+    /// node test.
+    fn step_selects(
+        &self,
+        range: (u32, u32),
+        k: u32,
+        step: &StepIr,
+        start: NodeId,
+        t: NodeId,
+    ) -> Result<bool, EvalError> {
+        if self.reads_position(step) {
+            // Position and size count within one predecessor's candidate
+            // list, so `t` must be in the forward image of a reached
+            // predecessor.
+            let ix = range.0 + k - 1;
+            return self.some_predecessor(range, k, step.axis, start, t, |p| {
+                Ok(contains(self.doc, &self.image(ix, p)?, t))
+            });
+        }
+        // Otherwise predecessors are checked first, so predicates run only
+        // on nodes the forward walk would also have filtered.
+        if !self.some_predecessor(range, k, step.axis, start, t, |_| Ok(true))? {
+            return Ok(false);
+        }
+        for &pred in self.ir.step_preds(step) {
+            if !self.predicate_holds_at(pred, Context::new(t, 1, 1))? {
+                return Ok(false);
             }
         }
-        self.reach_memo.borrow_mut().insert(key, result);
-        Ok(result)
+        Ok(true)
+    }
+
+    /// Is there a node `p` reached by the first `k - 1` steps of `range`,
+    /// with `t` on `axis` from `p` and `accept(p)`?
+    fn some_predecessor(
+        &self,
+        range: (u32, u32),
+        k: u32,
+        axis: Axis,
+        start: NodeId,
+        t: NodeId,
+        mut accept: impl FnMut(NodeId) -> Result<bool, EvalError>,
+    ) -> Result<bool, EvalError> {
+        let doc = self.doc;
+        let mut try_from = |p: NodeId| -> Result<bool, EvalError> {
+            Ok(self.reached(range, k - 1, start, p)? && accept(p)?)
+        };
+        let is_attribute = doc.kind(t).is_attribute();
+        match axis {
+            Axis::SelfAxis => try_from(t),
+            Axis::Child | Axis::Attribute => match doc.parent(t) {
+                Some(p) if is_attribute == (axis == Axis::Attribute) => try_from(p),
+                _ => Ok(false),
+            },
+            Axis::Descendant | Axis::DescendantOrSelf => {
+                if axis == Axis::DescendantOrSelf && try_from(t)? {
+                    return Ok(true);
+                }
+                if is_attribute {
+                    return Ok(false);
+                }
+                let mut up = doc.parent(t);
+                while let Some(p) = up {
+                    if try_from(p)? {
+                        return Ok(true);
+                    }
+                    up = doc.parent(p);
+                }
+                Ok(false)
+            }
+            Axis::Parent => {
+                for &a in doc.attributes(t) {
+                    if try_from(a)? {
+                        return Ok(true);
+                    }
+                }
+                let mut child = doc.first_child(t);
+                while let Some(c) = child {
+                    if try_from(c)? {
+                        return Ok(true);
+                    }
+                    child = doc.next_sibling(c);
+                }
+                Ok(false)
+            }
+            Axis::Ancestor
+            | Axis::AncestorOrSelf
+            | Axis::Following
+            | Axis::Preceding
+            | Axis::FollowingSibling
+            | Axis::PrecedingSibling => {
+                let frontier = self.frontier(range, k - 1, start)?;
+                for &p in witness_range(doc, axis, t, &frontier) {
+                    if on_axis(doc, p, axis, t) && accept(p)? {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            }
+        }
+    }
+
+    /// Every node the first `k` steps of `range` reach from `start`, in
+    /// document order: the step's candidates, kept by [`Self::reached`].
+    fn frontier(
+        &self,
+        range: (u32, u32),
+        k: u32,
+        start: NodeId,
+    ) -> Result<Rc<[NodeId]>, EvalError> {
+        if k == 0 {
+            return Ok(Rc::from([start]));
+        }
+        let key = (range.0 + k - 1, start);
+        if let Some(nodes) = self.frontier_memo.borrow().get(&key) {
+            bump(&self.memo_hits);
+            return Ok(Rc::clone(nodes));
+        }
+        let step = &self.ir.steps()[key.0 as usize];
+        let mut out = Vec::new();
+        for &t in self.step_candidates(step).iter() {
+            if self.reached(range, k, start, t)? {
+                out.push(t);
+            }
+        }
+        let out: Rc<[NodeId]> = out.into();
+        self.frontier_memo.borrow_mut().insert(key, Rc::clone(&out));
+        Ok(out)
+    }
+
+    /// The nodes that can pass a step's node test, in document order: the
+    /// tag list when the source indexes the name, every node otherwise.
+    fn step_candidates(&self, step: &StepIr) -> Cow<'d, [NodeId]> {
+        if !step.axis.principal_is_attribute() {
+            let indexed = match &step.test {
+                NodeTest::Resolved { name, id: Some(id) } => self
+                    .src
+                    .elements_by_tag(*id)
+                    .or_else(|| self.src.elements_named(name)),
+                NodeTest::Resolved { name, id: None } | NodeTest::Name(name) => {
+                    self.src.elements_named(name)
+                }
+                _ => None,
+            };
+            if let Some(nodes) = indexed {
+                return Cow::Borrowed(nodes);
+            }
+        }
+        self.src.document_order()
+    }
+
+    /// The forward image of step `ix` from one node: the axis step, then
+    /// each predicate with the positions of the list it filters.
+    fn image(&self, ix: u32, from: NodeId) -> Result<Rc<[NodeId]>, EvalError> {
+        let key = (ix, from);
+        if let Some(nodes) = self.image_memo.borrow().get(&key) {
+            bump(&self.memo_hits);
+            return Ok(Rc::clone(nodes));
+        }
+        bump(&self.decisions);
+        bump(&self.steps_applied);
+        let step = &self.ir.steps()[ix as usize];
+        let candidates = step_image(
+            self.src,
+            from,
+            step,
+            self.ir.step_preds(step),
+            |pred, ctx| self.predicate_holds_at(pred, ctx),
+        )?;
+        let out: Rc<[NodeId]> = candidates.into();
+        self.image_memo.borrow_mut().insert(key, Rc::clone(&out));
+        Ok(out)
+    }
+
+    /// Can a predicate of this step see the context position or size?
+    fn reads_position(&self, step: &StepIr) -> bool {
+        step.pick.is_some()
+            || self
+                .ir
+                .step_preds(step)
+                .iter()
+                .any(|&pred| self.pred_reads_position(pred))
+    }
+
+    /// A predicate reads the position when its value depends on it
+    /// (`position()`, `last()`), or when it may evaluate to a number, which
+    /// the predicate compares against the position: number-typed
+    /// expressions, variables and registered functions.
+    fn pred_reads_position(&self, pred: OpId) -> bool {
+        let op = self.ir.op(pred);
+        op.sensitive
+            || op.ty == ExprType::Number
+            || match &op.kind {
+                OpKind::Variable(_) => true,
+                OpKind::Call { name, .. } => !crate::functions::is_supported(name),
+                _ => false,
+            }
     }
 
     fn predicate_holds_at(&self, pred: OpId, ctx: Context) -> Result<bool, EvalError> {
+        // A predicate blind to the position gets one canonical context per
+        // node, so forward images and backward decisions share its memo.
+        let ctx = if self.pred_reads_position(pred) {
+            ctx
+        } else {
+            Context::new(ctx.node, 1, 1)
+        };
         if self.ir.op(pred).kind.is_nodeset() {
             return self.exists(pred, ctx);
         }
@@ -790,26 +1029,79 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
         Ok(predicate_holds(&v, ctx.position))
     }
 
-    fn exists(&self, id: OpId, ctx: Context) -> Result<bool, EvalError> {
-        for v in self.doc.all_nodes() {
-            if self.selects(id, ctx, v)? {
-                return Ok(true);
-            }
+    /// The node set of a predicate operand, in document order.
+    fn operand(&self, id: OpId, ctx: Context) -> Result<Rc<[NodeId]>, EvalError> {
+        let Some(trace) = self.env.trace else {
+            return self.operand_inner(id, ctx);
+        };
+        let start = Instant::now();
+        let out = self.operand_inner(id, ctx);
+        let width = out.as_ref().map_or(0, |nodes| nodes.len() as u64);
+        trace.record(id, 1, width, start.elapsed().as_nanos() as u64);
+        out
+    }
+
+    fn operand_inner(&self, id: OpId, ctx: Context) -> Result<Rc<[NodeId]>, EvalError> {
+        let kind = &self.ir.op(id).kind;
+        // An absolute path has one value for every context.
+        let start = match kind {
+            OpKind::Path { absolute: true, .. } => self.doc.root(),
+            _ => ctx.node,
+        };
+        let key = (id, start);
+        if let Some(nodes) = self.operand_memo.borrow().get(&key) {
+            bump(&self.memo_hits);
+            return Ok(Rc::clone(nodes));
         }
-        Ok(false)
+        bump(&self.decisions);
+        let nodes: Vec<NodeId> = match kind {
+            OpKind::Path { steps, .. } => {
+                let mut current = vec![start];
+                for ix in steps.0..steps.0 + steps.1 {
+                    if current.is_empty() {
+                        break;
+                    }
+                    let mut next = Vec::new();
+                    for &n in &current {
+                        next.extend_from_slice(&self.image(ix, n)?);
+                    }
+                    if current.len() > 1 {
+                        self.doc.sort_document_order(&mut next);
+                    }
+                    current = next;
+                }
+                current
+            }
+            OpKind::Union(a, b) => {
+                let mut nodes = self.operand(*a, ctx)?.to_vec();
+                nodes.extend_from_slice(&self.operand(*b, ctx)?);
+                self.doc.sort_document_order(&mut nodes);
+                nodes
+            }
+            OpKind::Intersect(a, b) | OpKind::Except(a, b) => {
+                let keep = matches!(kind, OpKind::Intersect(..));
+                let left = self.operand(*a, ctx)?;
+                let right = self.operand(*b, ctx)?;
+                left.iter()
+                    .copied()
+                    .filter(|&n| contains(self.doc, &right, n) == keep)
+                    .collect()
+            }
+            _ => return Err(not_a_node_set(self.ir, id)),
+        };
+        let nodes: Rc<[NodeId]> = nodes.into();
+        self.operand_memo
+            .borrow_mut()
+            .insert(key, Rc::clone(&nodes));
+        Ok(nodes)
+    }
+
+    fn exists(&self, id: OpId, ctx: Context) -> Result<bool, EvalError> {
+        Ok(!self.operand(id, ctx)?.is_empty())
     }
 
     fn first_selected(&self, id: OpId, ctx: Context) -> Result<Option<NodeId>, EvalError> {
-        let mut best: Option<NodeId> = None;
-        for v in self.doc.all_nodes() {
-            if self.selects(id, ctx, v)? {
-                best = match best {
-                    Some(b) if self.doc.pre(b) <= self.doc.pre(v) => Some(b),
-                    _ => Some(v),
-                };
-            }
-        }
-        Ok(best)
+        Ok(self.operand(id, ctx)?.first().copied())
     }
 
     pub fn eval_boolean(&self, id: OpId, ctx: Context) -> Result<bool, EvalError> {
@@ -826,10 +1118,10 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
     fn eval_boolean_inner(&self, id: OpId, ctx: Context) -> Result<bool, EvalError> {
         let key = (id, ctx.node, ctx.position, ctx.size);
         if let Some(&b) = self.bool_memo.borrow().get(&key) {
-            self.memo_hits.set(self.memo_hits.get() + 1);
+            bump(&self.memo_hits);
             return Ok(b);
         }
-        self.decisions.set(self.decisions.get() + 1);
+        bump(&self.decisions);
         let out = match &self.ir.op(id).kind {
             OpKind::And(a, b) => self.eval_boolean(*a, ctx)? && self.eval_boolean(*b, ctx)?,
             OpKind::Or(a, b) => self.eval_boolean(*a, ctx)? || self.eval_boolean(*b, ctx)?,
@@ -867,11 +1159,9 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
         Ok(false)
     }
 
-    /// Node comparison without materializing either operand: the engine's
+    /// Node comparison on the operands' node sets: the engine's
     /// `is`/`<<`/`>>` semantics compare the *first* node (in document
-    /// order) of each side, which [`Self::first_selected`] recovers one
-    /// membership test at a time.  An empty side makes the comparison
-    /// false.
+    /// order) of each side.  An empty side makes the comparison false.
     fn node_compare(
         &self,
         op: xpeval_syntax::NodeCompOp,
@@ -890,13 +1180,11 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
 
     fn atomic_values(&self, id: OpId, ctx: Context) -> Result<Vec<Value>, EvalError> {
         if self.ir.op(id).kind.is_nodeset() {
-            let mut out = Vec::new();
-            for v in self.doc.all_nodes() {
-                if self.selects(id, ctx, v)? {
-                    out.push(Value::Str(self.doc.string_value(v)));
-                }
-            }
-            Ok(out)
+            let nodes = self.operand(id, ctx)?;
+            Ok(nodes
+                .iter()
+                .map(|&v| Value::Str(self.doc.string_value(v)))
+                .collect())
         } else {
             Ok(vec![self.eval_scalar(id, ctx)?])
         }
@@ -959,6 +1247,83 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
         }
         Ok(self.eval_scalar(id, ctx)?.to_number(self.doc))
     }
+}
+
+fn not_a_node_set(ir: &PlanIr, id: OpId) -> EvalError {
+    EvalError::type_error(format!(
+        "expression {} is not node-set typed",
+        ir.display_op(id)
+    ))
+}
+
+/// Membership in a node set held in document order.
+fn contains(doc: &Document, nodes: &[NodeId], n: NodeId) -> bool {
+    nodes
+        .binary_search_by_key(&doc.pre(n), |&m| doc.pre(m))
+        .is_ok()
+}
+
+/// `t ∈ axis(p)` for the axes whose inverse is wide, decided in O(1) from
+/// parent links and pre/post keys.  The node sets are exactly those the
+/// document's axis iterators enumerate: attributes are on none of these
+/// axes except `ancestor-or-self` (as the start), and the `following`
+/// axis of an attribute is that of its owner element.
+fn on_axis(doc: &Document, p: NodeId, axis: Axis, t: NodeId) -> bool {
+    let attribute = |n: NodeId| doc.kind(n).is_attribute();
+    let siblings = || {
+        p != t
+            && !attribute(p)
+            && !attribute(t)
+            && doc.parent(p).is_some()
+            && doc.parent(p) == doc.parent(t)
+    };
+    match axis {
+        Axis::Ancestor => doc.is_ancestor_of(t, p),
+        Axis::AncestorOrSelf => doc.is_ancestor_or_self_of(t, p),
+        Axis::Following => {
+            let owner = if attribute(p) {
+                doc.parent(p).unwrap_or(p)
+            } else {
+                p
+            };
+            !attribute(t) && doc.pre(t) > doc.post(owner)
+        }
+        Axis::Preceding => {
+            !attribute(t) && doc.pre(t) < doc.pre(p) && !doc.is_ancestor_or_self_of(t, p)
+        }
+        Axis::FollowingSibling => siblings() && doc.pre(p) < doc.pre(t),
+        Axis::PrecedingSibling => siblings() && doc.pre(t) < doc.pre(p),
+        narrow => unreachable!("the {narrow} axis is walked backwards"),
+    }
+}
+
+/// The part of a document-ordered `frontier` where a node `p` with
+/// `t ∈ axis(p)` can lie, found by binary search on the pre keys: before
+/// `t` for `following`, after its subtree for `preceding`, inside it for
+/// the ancestor axes, under `t`'s parent for the sibling axes.
+fn witness_range<'f>(
+    doc: &Document,
+    axis: Axis,
+    t: NodeId,
+    frontier: &'f [NodeId],
+) -> &'f [NodeId] {
+    if doc.kind(t).is_attribute() && axis != Axis::AncestorOrSelf {
+        return &[];
+    }
+    let before = |key: u32| frontier.partition_point(|&p| doc.pre(p) < key);
+    let through = |key: u32| frontier.partition_point(|&p| doc.pre(p) <= key);
+    let (pre, post) = (doc.pre(t), doc.post(t));
+    let (lo, hi) = match (axis, doc.parent(t)) {
+        (Axis::Following, _) => (0, before(pre)),
+        (Axis::Preceding, _) => (through(post), frontier.len()),
+        (Axis::Ancestor, _) => (through(pre), through(post)),
+        (Axis::AncestorOrSelf, _) => (before(pre), through(post)),
+        (Axis::FollowingSibling, Some(q)) => (through(doc.pre(q)), before(pre)),
+        (Axis::PrecedingSibling, Some(q)) => (through(post), before(doc.post(q))),
+        // A node without a parent has no siblings.
+        _ => (0, 0),
+    };
+    &frontier[lo..hi.max(lo)]
 }
 
 /// The IR form of [`crate::steps::result_candidates`]: the candidate

@@ -8,12 +8,19 @@
 //! * data complexity: for a fixed query, the DP evaluator's table size grows
 //!   linearly in |D| (Theorem 7.2) — experiment E10;
 //! * query complexity: for a fixed document, the DP evaluator's work grows
-//!   linearly in |Q| for PF chains (Theorem 7.3) — experiment E11.
+//!   linearly in |Q| for PF chains (Theorem 7.3) — experiment E11;
+//! * membership cost: the Singleton-Success checker (Lemma 5.4, Theorem
+//!   5.5) and its parallel fan-out apply steps in proportion to |D| on
+//!   pXPath filters, not in proportion to |D|² (one document scan per
+//!   candidate).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xpeval::engine::{DpEvaluator, NaiveEvaluator};
-use xpeval::workloads::{blowup_document, blowup_query, oscillating_query, random_tree_document};
+use xpeval::prelude::*;
+use xpeval::workloads::{
+    auction_site_document, blowup_document, blowup_query, oscillating_query, random_tree_document,
+};
 
 #[test]
 fn naive_work_is_geometric_and_dp_work_is_linear() {
@@ -93,5 +100,53 @@ fn memoization_beats_naive_on_every_blowup_instance() {
             dp.stats().step_context_evaluations < naive.stats().step_context_evaluations,
             "reps={reps}"
         );
+    }
+}
+
+#[test]
+fn singleton_success_step_work_grows_linearly_in_document_size() {
+    let bindings = Bindings::new()
+        .with_string("id", "item3")
+        .with_number("x", 6.0);
+    let queries = [
+        "//item[@id = $id]/name",
+        "//bid[@increase = $x]/../name",
+        "/descendant::bid/preceding::seller",
+    ];
+    let docs: Vec<Document> = [40usize, 80]
+        .iter()
+        .map(|&items| auction_site_document(&mut StdRng::seed_from_u64(3), items))
+        .collect();
+    let prepared: Vec<PreparedDocument> = docs
+        .iter()
+        .map(|doc| PreparedDocument::new(doc.clone()))
+        .collect();
+    for query in queries {
+        for strategy in [
+            EvalStrategy::SingletonSuccess,
+            EvalStrategy::Parallel { threads: 2 },
+        ] {
+            let plan = CompiledQuery::compile(query)
+                .unwrap()
+                .with_strategy(strategy);
+            let plain: Vec<u64> = docs
+                .iter()
+                .map(|doc| plan.run_bound(doc, &bindings).unwrap())
+                .map(|out| out.stats.step_context_evaluations)
+                .collect();
+            let indexed: Vec<u64> = prepared
+                .iter()
+                .map(|doc| plan.run_prepared_bound(doc, &bindings).unwrap())
+                .map(|out| out.stats.step_context_evaluations)
+                .collect();
+            for work in [plain, indexed] {
+                let ratio = work[1] as f64 / work[0] as f64;
+                assert!(
+                    work[0] > 0 && ratio <= 2.5,
+                    "{query} via {strategy:?}: step work {work:?} grew {ratio:.2}x \
+                     when the document doubled"
+                );
+            }
+        }
     }
 }

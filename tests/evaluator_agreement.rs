@@ -301,6 +301,108 @@ fn bound_variables_agree_across_strategies() {
     }
 }
 
+/// Edge cases of the goal-directed Singleton-Success walk, which answers
+/// membership backwards through inverse axes: attribute nodes as step
+/// contexts (where `child`, `descendant` and `following` are not the plain
+/// inverses of `parent`, `ancestor` and `preceding`), nested relative
+/// predicates, positional picks next to position-free predicates, set
+/// operators and registered calls inside predicates, and the wide axes that
+/// fall back to the forward walk.  Every strategy that admits a query must
+/// return the naive strategy's answer under the same bindings, on plain and
+/// prepared sources; Singleton-Success and the parallel evaluator must admit
+/// every query here.
+#[test]
+fn backward_membership_edge_cases_agree_with_the_naive_oracle() {
+    use std::sync::Arc;
+
+    let mut registry = FunctionRegistry::new();
+    registry.register(
+        FunctionSignature::new("double", 1, Some(1))
+            .returns_number()
+            .impact(FragmentImpact::CoreSafe),
+        |args, _, doc| Ok(Value::Number(args[0].to_number(doc) * 2.0)),
+    );
+    let registry = Arc::new(registry);
+    let bindings = Bindings::new()
+        .with_number("x", 6.0)
+        .with_number("y", 12.0)
+        .with_number("k", 2.0)
+        .with_string("p", "person3")
+        .with_string("id", "item4");
+    let corpus = [
+        // `..` and `parent::node()` from attribute nodes.
+        "//@increase/..",
+        "//item/@id/parent::node()",
+        "//bid/@increase/../..",
+        "//@id[. = $id]/../name",
+        "//seller/@person[. = $p]/parent::seller/../name",
+        // `descendant-or-self::node()` and `self::` from attribute contexts.
+        "//@increase/descendant-or-self::node()",
+        "//item/@id/self::node()",
+        "//item/@id/self::*",
+        "//bid/@increase/self::node()[. = $x]",
+        "//@person/descendant-or-self::node()/..",
+        "//item/@id/descendant::node()",
+        "//item/@id/child::node()",
+        // Nested relative predicates.
+        "//item[seller[@person = $p]]/name",
+        "//item[bid[@increase > $x]]/name",
+        "//item[bid[@increase > $x] and seller[@person = $p]]/name",
+        "/site/regions/*[item[seller[@person = $p]]]",
+        // Positional picks mixed with position-free predicates.
+        "/site/regions/*/item[2]/bid[@increase >= $x]",
+        "/site/regions/*/item[position() = $k]/seller[@person != $p]/..",
+        "//item[bid/@increase > $x]/bid[last()]",
+        "/site/regions/*[item/bid]/item[$k]/name",
+        "//item[name and position() = 1]/name",
+        "//bid[position() = last() - 1]/@increase",
+        // Set operators inside predicates.
+        "//item[bid/@person | seller/@person = $p]/name",
+        "//item[bid intersect bid[@increase > $x]]/name",
+        "//item[bid except bid[@increase > $x]]/name",
+        "//item[(bid | seller) except seller]/@id",
+        // Registered function calls.
+        "//bid[double(@increase) = $y]/..",
+        "//item[double(bid[last()]/@increase) > $y]/name",
+        // Wide axes: forward walk with interval tests.
+        "//@increase/following::seller",
+        "//@id/preceding::bid",
+        "//seller[@person = $p]/following-sibling::bid",
+        "//bid[@increase = $x]/preceding-sibling::*",
+        "//@person/ancestor::item/name",
+        "//@increase/ancestor-or-self::node()",
+        "//bid/following::item[1]/name",
+        "//name/preceding::item[@id = $id]",
+    ];
+    let doc = auction_site_document(&mut StdRng::seed_from_u64(14), 30);
+    let prepared = PreparedDocument::new(doc.clone());
+    for src in corpus {
+        let compiled = CompiledQuery::compile_with_registry(src, registry.clone())
+            .unwrap_or_else(|e| panic!("{src}: {e:?}"));
+        let oracle = compiled
+            .clone()
+            .with_strategy(EvalStrategy::Naive)
+            .run_bound(&doc, &bindings)
+            .unwrap_or_else(|e| panic!("{src} via the oracle: {e:?}"))
+            .value;
+        for strategy in ALL_STRATEGIES {
+            let q = compiled.clone().with_strategy(strategy);
+            match (
+                q.run_bound(&doc, &bindings),
+                q.run_prepared_bound(&prepared, &bindings),
+            ) {
+                (Ok(plain), Ok(fast)) => {
+                    assert_eq!(plain.value, oracle, "{src} via {strategy:?}");
+                    assert_eq!(fast.value, oracle, "{src} prepared via {strategy:?}");
+                }
+                (Err(EvalError::UnsupportedFragment { .. }), Err(_))
+                    if strategy == EvalStrategy::CoreXPathLinear => {}
+                (plain, fast) => panic!("{src} via {strategy:?}: {plain:?} vs {fast:?}"),
+            }
+        }
+    }
+}
+
 /// The compile-time gate: unknown functions and arity mismatches never
 /// reach a document.
 #[test]
