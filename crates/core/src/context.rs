@@ -6,6 +6,8 @@
 //! [`ContextKey`]s: subexpressions that do not mention `position()`/`last()`
 //! only depend on the context node, which is what keeps the number of
 //! distinct table entries — and hence the combined complexity — polynomial.
+//! Subexpressions that do not depend on the context at all (literals,
+//! variables, absolute paths and what is built from them) get one row.
 
 use xpeval_dom::{Document, NodeId};
 
@@ -46,10 +48,13 @@ impl Context {
     }
 }
 
-/// Memoization key of the context-value tables: either the full triple (for
-/// position-sensitive subexpressions) or just the context node.
+/// Memoization key of the context-value tables: the full triple (for
+/// position-sensitive subexpressions), just the context node, or nothing
+/// at all (for context-free subexpressions).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ContextKey {
+    /// The subexpression has one value for every context.
+    Free,
     /// The subexpression's value depends only on the context node.
     Node(NodeId),
     /// The subexpression's value depends on the full context triple.
@@ -64,6 +69,16 @@ impl ContextKey {
             ContextKey::Full(ctx.node, ctx.position, ctx.size)
         } else {
             ContextKey::Node(ctx.node)
+        }
+    }
+
+    /// Like [`ContextKey::for_context`], but collapsing to
+    /// [`ContextKey::Free`] for a context-free subexpression.
+    pub fn for_op(ctx: Context, position_sensitive: bool, context_free: bool) -> Self {
+        if context_free {
+            ContextKey::Free
+        } else {
+            ContextKey::for_context(ctx, position_sensitive)
         }
     }
 }
@@ -104,6 +119,17 @@ mod tests {
         );
         assert_ne!(
             ContextKey::for_context(c1, true),
+            ContextKey::for_context(c2, true)
+        );
+        // A context-free key ignores the node as well.
+        let c3 = Context::new(doc.root(), 1, 1);
+        assert_eq!(ContextKey::for_op(c1, false, true), ContextKey::Free);
+        assert_eq!(
+            ContextKey::for_op(c3, false, true),
+            ContextKey::for_op(c2, false, true)
+        );
+        assert_eq!(
+            ContextKey::for_op(c2, true, false),
             ContextKey::for_context(c2, true)
         );
     }

@@ -466,7 +466,7 @@ impl<'d, S: AxisSource + ?Sized> CoreXPathEvaluator<'d, S> {
                     if doc.kind(u).is_attribute() {
                         continue;
                     }
-                    min_start = min_start.min(self.subtree_end_of(u));
+                    min_start = min_start.min(subtree_end(self.src, u));
                 }
                 if min_start != u32::MAX {
                     // Preorder keys are gapped, so locate the complement
@@ -497,7 +497,7 @@ impl<'d, S: AxisSource + ?Sized> CoreXPathEvaluator<'d, S> {
                         if doc.kind(node).is_attribute() {
                             continue;
                         }
-                        if self.subtree_end_of(node) <= max_pre {
+                        if subtree_end(self.src, node) <= max_pre {
                             out.insert(node);
                         }
                     }
@@ -506,18 +506,19 @@ impl<'d, S: AxisSource + ?Sized> CoreXPathEvaluator<'d, S> {
         }
         out
     }
+}
 
-    /// Exclusive end of `n`'s preorder subtree interval in key space: from
-    /// the prepared index when available, otherwise the preorder key of the
-    /// first node after the subtree (no node's key falls in the gap between
-    /// a subtree's exit key and that node, so both bounds separate the same
-    /// node sets; `u32::MAX` when nothing follows).
-    fn subtree_end_of(&self, n: NodeId) -> u32 {
-        if let Some((_, end)) = self.src.subtree_interval(n) {
-            return end;
-        }
-        first_following(self.doc, n).map_or(u32::MAX, |f| self.doc.pre(f))
+/// Exclusive end of `n`'s preorder subtree interval in key space: from the
+/// prepared index when available, otherwise the preorder key of the first
+/// node after the subtree (no node's key falls in the gap between a
+/// subtree's exit key and that node, so both bounds separate the same node
+/// sets; `u32::MAX` when nothing follows).
+pub(crate) fn subtree_end<S: AxisSource + ?Sized>(src: &S, n: NodeId) -> u32 {
+    if let Some((_, end)) = src.subtree_interval(n) {
+        return end;
     }
+    let doc = src.document();
+    first_following(doc, n).map_or(u32::MAX, |f| doc.pre(f))
 }
 
 /// First node following the whole subtree of `n` in document order.

@@ -25,7 +25,7 @@
 
 use crate::bindings::Bindings;
 use crate::context::{Context, ContextKey};
-use crate::corexpath::{CoreXPathEvaluator, NodeBitSet};
+use crate::corexpath::{subtree_end, CoreXPathEvaluator, NodeBitSet};
 use crate::engine::EvalStrategy;
 use crate::error::EvalError;
 use crate::functions::call_function;
@@ -33,7 +33,7 @@ use crate::ir::{OpId, OpKind, PlanIr, StepIr};
 use crate::registry::FunctionRegistry;
 use crate::stats::EvalStats;
 use crate::steps::predicate_holds;
-use crate::value::Value;
+use crate::value::{NodeSetSummary, Value};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -187,7 +187,25 @@ pub(crate) fn execute_ir<S: AxisSource + ?Sized>(
 /// * **memoized** — the context-value-table dynamic program of
 ///   [`crate::DpEvaluator`]: every `(opcode, context-key)` value is computed
 ///   once, paths use set semantics (sort + dedup between steps), `and`/`or`
-///   short-circuit.
+///   short-circuit.  Each value is keyed by what it reads:
+///   - a **context-free** op ([`crate::ir::OpIr::context_free`]: a literal,
+///     a number, a `$variable`, an absolute path, or an operator or
+///     built-in call over context-free operands, minus the built-ins that
+///     read the context implicitly) has one table row for the whole run,
+///     so `//seller/@person` inside `//person[...]` is computed once, not
+///     once per person;
+///   - a position-sensitive op is keyed by the full context triple, every
+///     other op by the context node.
+///
+///   A general comparison between two node sets compares their
+///   [`NodeSetSummary`]s in O(|A| + |B|); the summary of a context-free
+///   operand is built once per run.  A `following` or `preceding` step
+///   goes **set-at-a-time**: from the current set S it applies the axis
+///   once, to the node of S with the smallest subtree end (`following`) or
+///   the largest preorder key (`preceding`), whose image is the union of
+///   all of S's images; predicates then run once per image node.  The step
+///   keeps the per-context loop when a predicate reads the position or
+///   size, or when S holds an attribute.
 /// * **eager** — the naive baseline of [`crate::NaiveEvaluator`]: every
 ///   occurrence re-evaluates, paths use list semantics with the
 ///   max-intermediate-list watermark, `and`/`or` evaluate both sides.
@@ -198,6 +216,8 @@ pub(crate) struct IrEvaluator<'d, 'q, S: AxisSource + ?Sized = Document> {
     env: EvalEnv<'q>,
     memoized: bool,
     memo: HashMap<(OpId, ContextKey), Value>,
+    /// Comparison summaries of context-free node-set operands.
+    summaries: HashMap<OpId, Rc<NodeSetSummary>>,
     stats: EvalStats,
     list_limit: usize,
 }
@@ -221,6 +241,7 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
             env,
             memoized,
             memo: HashMap::new(),
+            summaries: HashMap::new(),
             stats: EvalStats::default(),
             list_limit: usize::MAX,
         }
@@ -252,7 +273,8 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
 
     fn eval_inner(&mut self, id: OpId, ctx: Context) -> Result<Value, EvalError> {
         if self.memoized {
-            let key = (id, ContextKey::for_context(ctx, self.ir.op(id).sensitive));
+            let op = self.ir.op(id);
+            let key = (id, ContextKey::for_op(ctx, op.sensitive, op.context_free));
             if let Some(v) = self.memo.get(&key) {
                 self.stats.cache_hits += 1;
                 return Ok(v.clone());
@@ -325,6 +347,10 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
             OpKind::Relational { op, left, right } => {
                 let l = self.eval(*left, ctx)?;
                 let r = self.eval(*right, ctx)?;
+                if let (true, Value::NodeSet(a), Value::NodeSet(b)) = (self.memoized, &l, &r) {
+                    let (a, b) = (self.summary(*left, a), self.summary(*right, b));
+                    return Ok(Value::Boolean(a.compare(*op, &b)));
+                }
                 Ok(Value::Boolean(l.compare(*op, &r, self.doc)))
             }
             OpKind::Arithmetic { op, left, right } => {
@@ -361,12 +387,18 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
         };
         for step in ir.path_steps(range) {
             let preds = ir.step_preds(step);
-            let mut next: Vec<NodeId> = Vec::new();
-            for &node in &current {
+            let mut next: Vec<NodeId> = if self.memoized && self.set_at_a_time(step, &current) {
                 self.stats.step_context_evaluations += 1;
-                let mut selected = self.apply_step(node, step, preds)?;
-                next.append(&mut selected);
-            }
+                self.wide_step_image(step, preds, &current)?
+            } else {
+                let mut next = Vec::new();
+                for &node in &current {
+                    self.stats.step_context_evaluations += 1;
+                    let mut selected = self.apply_step(node, step, preds)?;
+                    next.append(&mut selected);
+                }
+                next
+            };
             if self.memoized {
                 // Set semantics: document order, no duplicates.
                 self.doc.sort_document_order(&mut next);
@@ -387,6 +419,56 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrEvaluator<'d, 'q, S> {
         } else {
             Ok(Value::node_set(self.doc, current))
         }
+    }
+
+    /// The comparison summary of a node-set operand, built once per run
+    /// when the operand is context-free.
+    fn summary(&mut self, id: OpId, nodes: &[NodeId]) -> Rc<NodeSetSummary> {
+        let doc = self.doc;
+        if !self.ir.op(id).context_free {
+            return Rc::new(NodeSetSummary::new(doc, nodes));
+        }
+        Rc::clone(
+            self.summaries
+                .entry(id)
+                .or_insert_with(|| Rc::new(NodeSetSummary::new(doc, nodes))),
+        )
+    }
+
+    /// Can a `following`/`preceding` step run once for the whole context
+    /// set?  Not when a predicate reads the position or size (those count
+    /// per context node), and not from attributes, whose `following` axis
+    /// is their owner element's.
+    fn set_at_a_time(&self, step: &StepIr, from: &[NodeId]) -> bool {
+        matches!(step.axis, Axis::Following | Axis::Preceding)
+            && !from.is_empty()
+            && !self.ir.step_reads_position(step)
+            && from.iter().all(|&u| !self.doc.kind(u).is_attribute())
+    }
+
+    /// A `following`/`preceding` step from a whole context set: the union
+    /// of the per-node images is the image of one node — the one whose
+    /// subtree ends first for `following`, the last in document order for
+    /// `preceding` — and the position-free predicates are checked once per
+    /// node of it.
+    fn wide_step_image(
+        &mut self,
+        step: &StepIr,
+        preds: &[OpId],
+        from: &[NodeId],
+    ) -> Result<Vec<NodeId>, EvalError> {
+        let (src, doc) = (self.src, self.doc);
+        let anchor = if step.axis == Axis::Following {
+            from.iter().copied().min_by_key(|&u| subtree_end(src, u))
+        } else {
+            from.iter().copied().max_by_key(|&u| doc.pre(u))
+        };
+        let anchor = anchor.expect("a non-empty context set");
+        let candidates = src.axis_step(anchor, step.axis, &step.test);
+        keep_satisfying(candidates, step.axis, preds, |pred, ctx| {
+            let value = self.eval(pred, ctx)?;
+            Ok(predicate_holds(&value, ctx.position))
+        })
     }
 
     /// One location step from one context node — the IR mirror of
@@ -415,20 +497,32 @@ fn step_image<S: AxisSource + ?Sized>(
     from: NodeId,
     step: &StepIr,
     preds: &[OpId],
-    mut holds: impl FnMut(OpId, Context) -> Result<bool, EvalError>,
+    holds: impl FnMut(OpId, Context) -> Result<bool, EvalError>,
 ) -> Result<Vec<NodeId>, EvalError> {
     let picked = step
         .pick
         .and_then(|pick| src.positional_child_step(from, &step.test, pick));
-    let (mut candidates, remaining) = match picked {
+    let (candidates, remaining) = match picked {
         Some(picked) => (picked, &preds[1..]),
         None => (src.axis_step(from, step.axis, &step.test), preds),
     };
-    for &pred in remaining {
+    keep_satisfying(candidates, step.axis, remaining, holds)
+}
+
+/// Filters a step's candidates (in document order) through each predicate
+/// in turn, over the list the previous one kept, with proximity positions
+/// counted along the axis.
+fn keep_satisfying(
+    mut candidates: Vec<NodeId>,
+    axis: Axis,
+    preds: &[OpId],
+    mut holds: impl FnMut(OpId, Context) -> Result<bool, EvalError>,
+) -> Result<Vec<NodeId>, EvalError> {
+    for &pred in preds {
         let size = candidates.len();
         let mut kept = Vec::with_capacity(size);
         for (idx, &node) in candidates.iter().enumerate() {
-            let position = if step.axis.is_reverse() {
+            let position = if axis.is_reverse() {
                 size - idx
             } else {
                 idx + 1
@@ -825,7 +919,7 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
         start: NodeId,
         t: NodeId,
     ) -> Result<bool, EvalError> {
-        if self.reads_position(step) {
+        if self.ir.step_reads_position(step) {
             // Position and size count within one predecessor's candidate
             // list, so `t` must be in the forward image of a reached
             // predecessor.
@@ -989,35 +1083,10 @@ impl<'d, 'q, S: AxisSource + ?Sized> IrSingletonSuccess<'d, 'q, S> {
         Ok(out)
     }
 
-    /// Can a predicate of this step see the context position or size?
-    fn reads_position(&self, step: &StepIr) -> bool {
-        step.pick.is_some()
-            || self
-                .ir
-                .step_preds(step)
-                .iter()
-                .any(|&pred| self.pred_reads_position(pred))
-    }
-
-    /// A predicate reads the position when its value depends on it
-    /// (`position()`, `last()`), or when it may evaluate to a number, which
-    /// the predicate compares against the position: number-typed
-    /// expressions, variables and registered functions.
-    fn pred_reads_position(&self, pred: OpId) -> bool {
-        let op = self.ir.op(pred);
-        op.sensitive
-            || op.ty == ExprType::Number
-            || match &op.kind {
-                OpKind::Variable(_) => true,
-                OpKind::Call { name, .. } => !crate::functions::is_supported(name),
-                _ => false,
-            }
-    }
-
     fn predicate_holds_at(&self, pred: OpId, ctx: Context) -> Result<bool, EvalError> {
         // A predicate blind to the position gets one canonical context per
         // node, so forward images and backward decisions share its memo.
-        let ctx = if self.pred_reads_position(pred) {
+        let ctx = if self.ir.pred_reads_position(pred) {
             ctx
         } else {
             Context::new(ctx.node, 1, 1)

@@ -23,8 +23,9 @@
 //!   when neither step carries predicates, where it is list- and
 //!   set-semantics preserving);
 //! * per-opcode static analysis survives lowering: the [`Fragment`] that
-//!   admitted each subexpression, its static `ExprType`, and the
-//!   position-sensitivity bit the context-value tables key on;
+//!   admitted each subexpression, its static `ExprType`, and the two bits
+//!   the context-value tables key on — position sensitivity and context
+//!   freedom ([`OpIr::context_free`]);
 //! * the per-strategy admission checks are precomputed verdicts:
 //!   [`PlanIr::linear_check`] (Core XPath, Definition 2.5) and
 //!   [`PlanIr::ss_check`] (pWF/pXPath, Definition 6.1) are stored
@@ -96,6 +97,16 @@ pub struct OpIr {
     /// position/size?  Decides the context-value-table key width
     /// ([`crate::context::ContextKey`]).
     pub sensitive: bool,
+    /// Is the value the same in every context?  True for literals,
+    /// numbers, `$variables` and absolute paths, and for operators and
+    /// built-in calls whose operands are all context-free — except the
+    /// built-ins that read the context implicitly: `position()`, `last()`,
+    /// `lang()` and the zero-argument `string()`, `string-length()`,
+    /// `normalize-space()`, `number()`, `name()`, `local-name()` and
+    /// `namespace-uri()`.  Registered functions are never context-free:
+    /// their handlers see the context.  The context-value tables keep one row for such an op
+    /// ([`crate::context::ContextKey::Free`]).
+    pub context_free: bool,
 }
 
 /// The flat operator set, mirroring [`Expr`] with arena indices in place of
@@ -278,6 +289,32 @@ impl PlanIr {
         self.ss_check.clone()
     }
 
+    /// Can a predicate of this step see the context position or size?  A
+    /// positional pick always does; otherwise see
+    /// [`PlanIr::pred_reads_position`].
+    pub(crate) fn step_reads_position(&self, step: &StepIr) -> bool {
+        step.pick.is_some()
+            || self
+                .step_preds(step)
+                .iter()
+                .any(|&pred| self.pred_reads_position(pred))
+    }
+
+    /// A predicate reads the position when its value depends on it
+    /// (`position()`, `last()`), or when it may evaluate to a number, which
+    /// the predicate compares against the position: number-typed
+    /// expressions, variables and registered functions.
+    pub(crate) fn pred_reads_position(&self, pred: OpId) -> bool {
+        let op = self.op(pred);
+        op.sensitive
+            || op.ty == xpeval_syntax::ast::ExprType::Number
+            || match &op.kind {
+                OpKind::Variable(_) => true,
+                OpKind::Call { name, .. } => !crate::functions::is_supported(name),
+                _ => false,
+            }
+    }
+
     /// Number of `//`-expansion step pairs fused at lowering.
     pub fn fused_steps(&self) -> u32 {
         self.fused_steps
@@ -430,6 +467,7 @@ impl<'r> Lowering<'r> {
 
     fn push_op(&mut self, expr: &Expr, kind: OpKind) -> OpId {
         let id = OpId::try_from(self.ops.len()).expect("plan IR op arena overflowed u32");
+        let context_free = self.context_free(&kind);
         // The AST's static typing does not know registered functions; the
         // registry's declared return type wins for them so that result
         // routing matches what the handler produces.
@@ -446,8 +484,40 @@ impl<'r> Lowering<'r> {
             fragment: classify(expr).fragment,
             ty,
             sensitive: crate::dp::sensitivity(expr),
+            context_free,
         });
         id
+    }
+
+    /// The [`OpIr::context_free`] bit of a new op, read off its already
+    /// lowered operands.
+    fn context_free(&self, kind: &OpKind) -> bool {
+        let free = |id: &OpId| self.ops[*id as usize].context_free;
+        match kind {
+            OpKind::Number(_) | OpKind::Literal(_) | OpKind::Variable(_) => true,
+            OpKind::Path { absolute, .. } => *absolute,
+            OpKind::Union(a, b)
+            | OpKind::Intersect(a, b)
+            | OpKind::Except(a, b)
+            | OpKind::Or(a, b)
+            | OpKind::And(a, b)
+            | OpKind::NodeCompare {
+                left: a, right: b, ..
+            }
+            | OpKind::Relational {
+                left: a, right: b, ..
+            }
+            | OpKind::Arithmetic {
+                left: a, right: b, ..
+            } => free(a) && free(b),
+            OpKind::Not(e) | OpKind::Neg(e) => free(e),
+            OpKind::Call { name, args } => {
+                let args = &self.args[args.0 as usize..(args.0 + args.1) as usize];
+                crate::functions::is_supported(name)
+                    && !reads_context(name, args.len())
+                    && args.iter().all(free)
+            }
+        }
     }
 
     fn lower_expr(&mut self, expr: &Expr) -> OpId {
@@ -572,6 +642,19 @@ impl<'r> Lowering<'r> {
             selectivity,
             fused: fused_axis.is_some(),
         }
+    }
+}
+
+/// Does a call to this function read the context without an argument
+/// saying so?  `position()` and `last()` always do, `lang()` reads the
+/// context node's language, and the zero-argument forms of the string and
+/// name functions default their argument to the context node.
+fn reads_context(name: &str, arity: usize) -> bool {
+    match name {
+        "position" | "last" | "lang" => true,
+        "string" | "string-length" | "normalize-space" | "number" | "name" | "local-name"
+        | "namespace-uri" => arity == 0,
+        _ => false,
     }
 }
 
@@ -740,6 +823,69 @@ mod tests {
             .map(|o| o.fragment)
             .collect();
         assert!(inner_path_frags.contains(&Fragment::PF));
+    }
+
+    #[test]
+    fn context_free_ops_are_marked() {
+        let root_free = |src: &str| {
+            let ir = lower(src);
+            ir.op(ir.root()).context_free
+        };
+        for free in [
+            "1",
+            "'x'",
+            "$v",
+            "//seller/@person",
+            "/site/item[@id = $v]",
+            "count(//bid) + 1",
+            "//a | //b",
+            "not(//a = //b)",
+            "string(//a)",
+            "concat('a', $v)",
+        ] {
+            assert!(root_free(free), "{free} is context-free");
+        }
+        for bound in [
+            "a",
+            "@id",
+            "//a | b",
+            "position()",
+            "last() = count(//b)",
+            "string()",
+            "string-length()",
+            "normalize-space()",
+            "number()",
+            "name()",
+            "local-name()",
+            "@id = //seller/@person",
+        ] {
+            assert!(!root_free(bound), "{bound} reads the context");
+        }
+        // An absolute path is context-free even when its predicates read
+        // their own contexts; those predicates are not.
+        let ir = lower("//a[string() = //b]");
+        assert!(ir.op(ir.root()).context_free);
+        let rel = ir
+            .ops()
+            .iter()
+            .find(|o| matches!(o.kind, OpKind::Relational { .. }))
+            .unwrap();
+        assert!(!rel.context_free);
+    }
+
+    #[test]
+    fn registered_calls_are_never_context_free() {
+        use crate::registry::{FragmentImpact, FunctionSignature};
+        let mut registry = FunctionRegistry::new();
+        registry.register(
+            FunctionSignature::new("seven", 0, Some(0))
+                .returns_number()
+                .impact(FragmentImpact::CoreSafe),
+            |_, _, _| Ok(crate::value::Value::Number(7.0)),
+        );
+        let expr = parse_query("seven()").unwrap();
+        let ir = PlanIr::lower_with_registry(&expr, &classify(&expr), &registry);
+        assert!(!ir.op(ir.root()).context_free);
     }
 
     #[test]

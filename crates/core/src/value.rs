@@ -7,6 +7,7 @@
 //! in `tests/` rely on this.
 
 use crate::error::EvalError;
+use std::collections::HashSet;
 use xpeval_dom::{Document, NodeId};
 use xpeval_syntax::RelOp;
 
@@ -112,17 +113,9 @@ impl Value {
     pub fn compare(&self, op: RelOp, other: &Value, doc: &Document) -> bool {
         use Value::*;
         match (self, other) {
-            (NodeSet(a), NodeSet(b)) => match op {
-                RelOp::Eq | RelOp::Ne => a.iter().any(|&x| {
-                    let sx = doc.string_value(x);
-                    b.iter().any(|&y| op.apply_str(&sx, &doc.string_value(y)))
-                }),
-                _ => a.iter().any(|&x| {
-                    let nx = parse_xpath_number(&doc.string_value(x));
-                    b.iter()
-                        .any(|&y| op.apply(nx, parse_xpath_number(&doc.string_value(y))))
-                }),
-            },
+            (NodeSet(a), NodeSet(b)) => {
+                NodeSetSummary::new(doc, a).compare(op, &NodeSetSummary::new(doc, b))
+            }
             (NodeSet(a), rhs) => compare_nodeset_scalar(a, op, rhs, doc, false),
             (lhs, NodeSet(b)) => compare_nodeset_scalar(b, op, lhs, doc, true),
             (lhs, rhs) => match op {
@@ -136,6 +129,74 @@ impl Value {
                     }
                 }
                 _ => op.apply(lhs.to_number(doc), rhs.to_number(doc)),
+            },
+        }
+    }
+}
+
+/// A node set atomized for general comparison (XPath 1.0 §3.4): its
+/// distinct string values, plus the least and greatest of their non-NaN
+/// number values.  Comparing two summaries answers the existential
+/// node-set × node-set comparison in O(|A| + |B|) instead of pairwise:
+///
+/// * `=` probes one side's strings in the other's set;
+/// * `!=` holds unless both sides hold the same single string (or one is
+///   empty);
+/// * `<`, `<=`, `>` and `>=` compare one side's minimum with the other's
+///   maximum.
+#[derive(Debug)]
+pub(crate) struct NodeSetSummary {
+    strings: HashSet<String>,
+    /// `(min, max)` of the non-NaN number values; `None` when there are
+    /// none.
+    range: Option<(f64, f64)>,
+}
+
+impl NodeSetSummary {
+    /// Atomizes a node set: one `string_value` per node.
+    pub(crate) fn new(doc: &Document, nodes: &[NodeId]) -> Self {
+        Self::from_strings(nodes.iter().map(|&n| doc.string_value(n)))
+    }
+
+    /// Summarizes a collection of string values.
+    pub(crate) fn from_strings(values: impl IntoIterator<Item = String>) -> Self {
+        let strings: HashSet<String> = values.into_iter().collect();
+        let range = strings
+            .iter()
+            .map(|s| parse_xpath_number(s))
+            .filter(|x| !x.is_nan())
+            .fold(None, |range, x| match range {
+                None => Some((x, x)),
+                Some((lo, hi)) => Some((f64::min(lo, x), f64::max(hi, x))),
+            });
+        NodeSetSummary { strings, range }
+    }
+
+    /// `A op B` where `self` summarizes `A` and `other` summarizes `B`:
+    /// true iff some `a ∈ A` and `b ∈ B` satisfy `a op b`.
+    pub(crate) fn compare(&self, op: RelOp, other: &NodeSetSummary) -> bool {
+        match op {
+            RelOp::Eq => {
+                let (small, large) = if self.strings.len() <= other.strings.len() {
+                    (self, other)
+                } else {
+                    (other, self)
+                };
+                small.strings.iter().any(|s| large.strings.contains(s))
+            }
+            RelOp::Ne => match (self.strings.len(), other.strings.len()) {
+                (0, _) | (_, 0) => false,
+                (1, 1) => self.strings != other.strings,
+                _ => true,
+            },
+            _ => match (self.range, other.range) {
+                (Some((a_lo, a_hi)), Some((b_lo, b_hi))) => match op {
+                    RelOp::Lt => a_lo < b_hi,
+                    RelOp::Le => a_lo <= b_hi,
+                    RelOp::Gt => a_hi > b_lo,
+                    _ => a_hi >= b_lo,
+                },
+                _ => false,
             },
         }
     }
@@ -406,6 +467,85 @@ mod tests {
         assert!(parse_xpath_number(".").is_nan());
         assert_eq!(parse_xpath_number(".5"), 0.5);
         assert_eq!(parse_xpath_number("5."), 5.0);
+    }
+
+    /// String values drawn by the summary property: integers and decimals
+    /// in several spellings, NaN strings and the empty string.
+    const POOL: [&str; 12] = [
+        "1", "2", "2.0", " 2 ", "-3", "0.5", "abc", "", "NaN", "1e5", "-0", "7.",
+    ];
+
+    /// Decodes up to five pool picks from base-13 digits (digit 12 draws
+    /// nothing), plus one extra number when `extra` is in range.
+    fn draw(code: u64, extra: i64) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut code = code;
+        for _ in 0..5 {
+            let digit = (code % 13) as usize;
+            code /= 13;
+            if let Some(s) = POOL.get(digit) {
+                out.push(s.to_string());
+            }
+        }
+        if (-50..50).contains(&extra) {
+            out.push(number_to_string(extra as f64 / 4.0));
+        }
+        out
+    }
+
+    /// The pre-summary semantics: every pair, compared as strings for
+    /// `=`/`!=` and as numbers otherwise.
+    fn pairwise(a: &[String], op: RelOp, b: &[String]) -> bool {
+        a.iter().any(|x| b.iter().any(|y| op.apply_str(x, y)))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+        #[test]
+        fn summary_comparison_matches_the_pairwise_loop(
+            a in 0u64..371_293,
+            b in 0u64..371_293,
+            xa in -60i64..60,
+            xb in -60i64..60,
+        ) {
+            let (a, b) = (draw(a, xa), draw(b, xb));
+            let (sa, sb) = (
+                NodeSetSummary::from_strings(a.clone()),
+                NodeSetSummary::from_strings(b.clone()),
+            );
+            for op in [RelOp::Eq, RelOp::Ne, RelOp::Lt, RelOp::Le, RelOp::Gt, RelOp::Ge] {
+                proptest::prop_assert_eq!(
+                    sa.compare(op, &sb),
+                    pairwise(&a, op, &b),
+                    "{:?} {:?} {:?}",
+                    a,
+                    op,
+                    b
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn summary_edge_cases() {
+        let sum = |v: &[&str]| NodeSetSummary::from_strings(v.iter().map(|s| s.to_string()));
+        let (empty, one, nan, two) = (sum(&[]), sum(&["1"]), sum(&["x"]), sum(&["1", "2"]));
+        // An empty side makes every comparison false.
+        for op in [RelOp::Eq, RelOp::Ne, RelOp::Lt, RelOp::Ge] {
+            assert!(
+                !empty.compare(op, &two) && !two.compare(op, &empty),
+                "{op:?}"
+            );
+        }
+        // `!=` with one value on each side holds only when they differ.
+        assert!(!one.compare(RelOp::Ne, &one));
+        assert!(one.compare(RelOp::Ne, &nan));
+        assert!(one.compare(RelOp::Ne, &two) && two.compare(RelOp::Ne, &one));
+        // NaN strings take part in `=`/`!=` but never in `<`.
+        assert!(nan.compare(RelOp::Eq, &sum(&["x", "y"])));
+        assert!(!nan.compare(RelOp::Lt, &two) && !two.compare(RelOp::Ge, &nan));
+        assert!(one.compare(RelOp::Lt, &two) && !two.compare(RelOp::Lt, &one));
+        assert!(two.compare(RelOp::Le, &one) && one.compare(RelOp::Ge, &two));
     }
 
     #[test]

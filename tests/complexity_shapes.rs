@@ -12,7 +12,10 @@
 //! * membership cost: the Singleton-Success checker (Lemma 5.4, Theorem
 //!   5.5) and its parallel fan-out apply steps in proportion to |D| on
 //!   pXPath filters, not in proportion to |D|² (one document scan per
-//!   candidate).
+//!   candidate);
+//! * context-value tables keyed by what an op reads: a context-free
+//!   comparison operand is computed once per run, not once per context, and
+//!   `following`/`preceding` steps from a node set apply the axis once.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -145,6 +148,71 @@ fn singleton_success_step_work_grows_linearly_in_document_size() {
                     work[0] > 0 && ratio <= 2.5,
                     "{query} via {strategy:?}: step work {work:?} grew {ratio:.2}x \
                      when the document doubled"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn context_value_table_work_grows_linearly_on_context_free_operands() {
+    let docs: Vec<Document> = [60usize, 120]
+        .iter()
+        .map(|&items| auction_site_document(&mut StdRng::seed_from_u64(5), items))
+        .collect();
+    let prepared: Vec<PreparedDocument> = docs
+        .iter()
+        .map(|doc| PreparedDocument::new(doc.clone()))
+        .collect();
+    // The right-hand operand does not depend on the person or bid being
+    // filtered: one table row, not one per context node.
+    for query in [
+        "//person[not(@id = //seller/@person)]",
+        "count(//bid[@person = //seller/@person])",
+    ] {
+        let plan = CompiledQuery::compile(query)
+            .unwrap()
+            .with_strategy(EvalStrategy::ContextValueTable);
+        let plain: Vec<u64> = docs
+            .iter()
+            .map(|doc| plan.run(doc).unwrap().stats.step_context_evaluations)
+            .collect();
+        let indexed: Vec<u64> = prepared
+            .iter()
+            .map(|doc| {
+                plan.run_prepared(doc)
+                    .unwrap()
+                    .stats
+                    .step_context_evaluations
+            })
+            .collect();
+        for work in [plain, indexed] {
+            let ratio = work[1] as f64 / work[0] as f64;
+            assert!(
+                work[0] > 0 && ratio <= 2.5,
+                "{query}: step work {work:?} grew {ratio:.2}x when the document doubled"
+            );
+        }
+    }
+    // A wide-axis step from a node set is one axis application, not one
+    // per context node.
+    for query in [
+        "/descendant::seller/following::bid",
+        "/descendant::bid/preceding::seller",
+    ] {
+        let plan = CompiledQuery::compile(query)
+            .unwrap()
+            .with_strategy(EvalStrategy::ContextValueTable);
+        for (doc, fast) in docs.iter().zip(&prepared) {
+            let plain = plan.run(doc).unwrap();
+            let indexed = plan.run_prepared(fast).unwrap();
+            assert_eq!(plain.value, indexed.value, "{query}");
+            assert!(!plain.value.expect_nodes().is_empty(), "{query}");
+            for stats in [plain.stats, indexed.stats] {
+                assert!(
+                    stats.step_context_evaluations <= 2,
+                    "{query}: {} step applications for 2 location steps",
+                    stats.step_context_evaluations
                 );
             }
         }

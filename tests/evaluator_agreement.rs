@@ -403,6 +403,153 @@ fn backward_membership_edge_cases_agree_with_the_naive_oracle() {
     }
 }
 
+/// Edge cases of the context-value tables keyed by what an op reads:
+/// general comparisons between a context-free node set and a per-context
+/// one (every operator, both operand orders, empty sides, NaN strings,
+/// one-valued sides for `!=`), context-free operands with relative
+/// predicates and `$vars` inside, context-reading calls inside paths that
+/// look context-free, and `following`/`preceding` steps from nested
+/// context sets, attribute sets and the root, with and without predicates
+/// that read the position.  Every strategy that admits a query must return
+/// the naive strategy's answer under the same bindings, on plain and
+/// prepared sources; the context-value table must admit every query.
+#[test]
+fn context_free_operands_and_wide_steps_agree_with_the_naive_oracle() {
+    const XML: &str = r#"<site>
+        <people>
+          <person id="p1"><name>Ann</name><age>30</age></person>
+          <person id="p2"><name>Bob</name><age>x</age></person>
+          <person id="p3"><name>Cy</name><age/></person>
+          <person id="p4"><name>Di</name><age>45</age></person>
+        </people>
+        <items>
+          <item id="i1"><seller person="p1"/><bid person="p2" increase="3"/><bid person="p3" increase="9"/><limit>10</limit></item>
+          <item id="i2"><seller person="p2"/><bid person="p1" increase="x"/>
+            <item id="i2a"><seller person="p2"/><bid person="p4" increase="12"/><limit>40</limit></item>
+            <limit>NaN</limit>
+          </item>
+          <item id="i3"><seller person="p9"/><limit>45</limit></item>
+        </items>
+        <only>7</only><same>7</same><same>7</same>
+      </site>"#;
+    let bindings = Bindings::new()
+        .with_number("x", 5.0)
+        .with_number("age", 35.0)
+        .with_number("k", 2.0)
+        .with_string("item", "i2");
+    let mut corpus: Vec<String> = Vec::new();
+    for op in ["=", "!=", "<", "<=", ">", ">="] {
+        for (per_context, free) in [
+            ("@id", "//seller/@person"),
+            ("age", "//limit"),
+            ("@increase", "//item/limit"),
+            ("@id", "//nosuch"),
+            ("@nosuch", "//seller/@person"),
+            ("age", "//only"),
+            ("age", "//same"),
+            ("name", "//person/age"),
+            (".", "//only"),
+        ] {
+            corpus.push(format!("//*[{per_context} {op} {free}]"));
+            corpus.push(format!("//*[{free} {op} {per_context}]"));
+        }
+        corpus.push(format!("//item[limit {op} //only]/@id"));
+        corpus.push(format!("//item[//same {op} limit]/@id"));
+    }
+    corpus.extend(
+        [
+            // Context-free operands with relative predicates and variables.
+            "//person[@id = //seller[../bid/@increase > $x]/@person]",
+            "//person[@id = //item[@id = $item]//bid/@person]/name",
+            "//bid[@person = //person[age > $age]/@id]/..",
+            "//item[limit > count(//person[age > $age])]/@id",
+            "//person[not(@id = //seller/@person)]",
+            "count(//bid[@person = //seller/@person])",
+            "//person[@id = //bid[@increase >= $x]/@person or age = //limit]",
+            // Context-reading calls inside paths that look context-free.
+            "//name[string() = //person/name]",
+            "//age[string() = //only]",
+            "//person[last() = count(//item)]",
+            "//item[last() = count(//seller)]/@id",
+            "//item[last() = count(//item/item)]/@id",
+            "//age[position() = count(//only)]",
+            "//*[name() = name(//person)]",
+            "//*[local-name() = 'age']",
+            "//name[string-length() > string-length(//only)]",
+            "//age[number() > number(//only)]",
+            "//name[normalize-space() = normalize-space(//person[2]/name)]",
+            // Wide axes from nested context sets.
+            "//item/following::bid",
+            "//item[seller/@person = 'p2']/following::limit",
+            "//item[seller/@person = 'p2']/following::*[@increase > 3]",
+            "//item[seller/@person = 'p2']/preceding::*",
+            "//item/preceding::person",
+            "//item//seller/following::item/@id",
+            "//item/preceding::bid/@increase",
+            "//bid/following::limit",
+            "//limit/preceding::seller",
+            // ...from attribute sets (per-context loop).
+            "//@person/following::bid",
+            "//bid/@increase/preceding::seller",
+            "//item/@id/following::limit",
+            "//item[seller/@person = 'p2']/@id/following::limit",
+            "//item[seller/@person = 'p2']/@id/preceding::*",
+            // ...from the root.
+            "/following::bid",
+            "/preceding::*",
+            "following::item",
+            "/descendant-or-self::node()/following::age",
+            "/descendant-or-self::node()/preceding::only",
+            // ...with predicates that read the position, or not.
+            "//seller/following::bid[1]",
+            "//item/following::bid[last()]",
+            "//bid/preceding::seller[1]",
+            "//item/following::bid[position() = 2]",
+            "//item/preceding::person[$k]",
+            "//seller/following::bid[@increase > 5][1]",
+            "//seller/following::bid[@increase > $x]",
+            "//bid/preceding::person[@id = //seller/@person]",
+            "//bid/following::*[self::limit or self::bid][@increase != 3]",
+            "count(/descendant::seller/following::bid)",
+            "count(/descendant::bid/preceding::seller)",
+        ]
+        .map(String::from),
+    );
+    let docs = [
+        parse_xml(XML).unwrap(),
+        auction_site_document(&mut StdRng::seed_from_u64(15), 24),
+    ];
+    for doc in docs {
+        let prepared = PreparedDocument::new(doc.clone());
+        for src in &corpus {
+            let compiled = CompiledQuery::compile(src).unwrap_or_else(|e| panic!("{src}: {e:?}"));
+            let oracle = compiled
+                .clone()
+                .with_strategy(EvalStrategy::Naive)
+                .run_bound(&doc, &bindings)
+                .unwrap_or_else(|e| panic!("{src} via the oracle: {e:?}"))
+                .value;
+            for strategy in ALL_STRATEGIES {
+                let q = compiled.clone().with_strategy(strategy);
+                match (
+                    q.run_bound(&doc, &bindings),
+                    q.run_prepared_bound(&prepared, &bindings),
+                ) {
+                    (Ok(plain), Ok(fast)) => {
+                        assert_eq!(plain.value, oracle, "{src} via {strategy:?}");
+                        assert_eq!(fast.value, oracle, "{src} prepared via {strategy:?}");
+                    }
+                    (
+                        Err(EvalError::UnsupportedFragment { .. }),
+                        Err(EvalError::UnsupportedFragment { .. }),
+                    ) if strategy != EvalStrategy::ContextValueTable => {}
+                    (plain, fast) => panic!("{src} via {strategy:?}: {plain:?} vs {fast:?}"),
+                }
+            }
+        }
+    }
+}
+
 /// The compile-time gate: unknown functions and arity mismatches never
 /// reach a document.
 #[test]
